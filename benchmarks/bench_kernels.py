@@ -3,7 +3,8 @@
 Times the :mod:`repro.perf` kernels against the reference
 implementations they replaced — ragged-batch sketching, batched
 compositeKModes fit, blocked similarity matrix, packed-bitmap Apriori
-mining, the fast LZ77 coder and the batched WebGraph coder — asserting
+mining, the fast LZ77 coder, the batched WebGraph coder and batched
+pivot extraction on the swissprot/rcv1/uk dataset shapes — asserting
 bit-identical outputs before reporting any number, and writes the
 measurements to ``benchmarks/results/BENCH_kernels.json``.
 
@@ -62,6 +63,7 @@ FULL = {
     "lz77_bytes": 200_000,
     "webgraph_lists": 1_500,
     "webgraph_degree": (10, 60),
+    "pivot_size_scale": 1.0,
 }
 SMOKE = {
     "num_sets": 400,
@@ -78,6 +80,7 @@ SMOKE = {
     "lz77_bytes": 12_000,
     "webgraph_lists": 120,
     "webgraph_degree": (5, 25),
+    "pivot_size_scale": 0.1,
 }
 
 
@@ -291,6 +294,40 @@ def run_kernel_bench(cfg: dict) -> dict:
         "bits_per_edge": wst_f.bits_per_edge,
         "bit_identical": True,
     }
+
+    # -- pivot extraction: one CSR batch vs the per-item extractors ----
+    from repro.data.datasets import load_dataset
+    from repro.perf.pivot_kernels import csr_lists
+    from repro.stratify.pivots import PivotExtractor
+
+    per_dataset = {}
+    for name in ("swissprot", "rcv1", "uk"):
+        dataset = load_dataset(name, size_scale=cfg["pivot_size_scale"])
+        extractor = PivotExtractor(dataset.kind)
+        items = dataset.items
+        batch = extractor.extract_batch(items)
+        reference = [extractor(item) for item in items]
+        assert [set(row) for row in csr_lists(*batch)] == reference, (
+            f"pivot kernel diverged on {name}"
+        )
+        t_batched = _best_of(lambda: extractor.extract_batch(items))
+        t_reference = _best_of(lambda: [extractor(item) for item in items], repeats=1)
+        per_dataset[name] = {
+            "items": len(items),
+            "batched_s": t_batched,
+            "reference_s": t_reference,
+            "speedup": t_reference / t_batched,
+        }
+    t_batched = sum(r["batched_s"] for r in per_dataset.values())
+    t_reference = sum(r["reference_s"] for r in per_dataset.values())
+    results["pivot_extract"] = {
+        "batched_s": t_batched,
+        "reference_s": t_reference,
+        "speedup": t_reference / t_batched,
+        "tiers": _tiers(t_reference, t_batched, None),  # no native tier
+        "datasets": per_dataset,
+        "bit_identical": True,
+    }
     return results
 
 
@@ -301,6 +338,7 @@ _KERNEL_SECTIONS = (
     "apriori_mine",
     "lz77_compress",
     "webgraph_compress",
+    "pivot_extract",
 )
 
 
@@ -353,6 +391,7 @@ def test_bench_kernels(benchmark):
         if results["native_available"] and name not in (
             "similarity_matrix",
             "webgraph_compress",
+            "pivot_extract",
         ):
             assert tiers["native"] > 0
 

@@ -13,6 +13,9 @@ the stratifier modules call into:
 - :mod:`repro.perf.kmodes_kernels` — batched match-count matrices with
   memory-aware row chunking, a sort/bincount-based top-L centre update,
   and a blocked similarity matrix.
+- :mod:`repro.perf.pivot_kernels` — batched pivot extraction (one
+  forest-wide Prüfer/LCA pass for trees, flat id hashing for text and
+  graphs, SplitMix64 on ``uint64`` arrays) returning CSR batches.
 - :mod:`repro.perf.fpm_kernels` / :mod:`repro.perf.lz77_kernels` —
   packed-bitmap support counting and the precomputed-link LZ77 coder.
 - :mod:`repro.perf.native` — optional numba-compiled (``native``)

@@ -11,6 +11,8 @@ Routes (all bodies JSON):
 ====== ========================= ===========================================
 POST   /v1/jobs                  submit a job spec → 202 (queued) or
                                  429 + ``Retry-After`` (rejected) or 400
+                                 (bad spec, body or ``Content-Length``) or
+                                 413 (body over 1 MiB)
 GET    /v1/jobs/<id>             job status snapshot (404 unknown/expired)
 GET    /v1/jobs/<id>/result      result payload (409 until terminal)
 POST   /v1/jobs/<id>/cancel      cancel a queued job
@@ -60,22 +62,48 @@ class _Handler(BaseHTTPRequestHandler):
             client=self.client_address[0], line=fmt % args,
         )
 
-    def _send_json(
-        self, status: int, payload: dict[str, Any], headers: dict[str, str] | None = None
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: dict[str, str] | None = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """Send one whole reply — status line, headers and body — in a
+        single write. ``end_headers()`` would flush the headers on their
+        own and the body would follow as a second small segment, which
+        Nagle holds back until the client's delayed ACK (~40 ms) on a
+        kept-alive connection."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for key, value in (headers or {}).items():
             self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
+
+    def _send_json(
+        self, status: int, payload: dict[str, Any], headers: dict[str, str] | None = None
+    ) -> None:
+        self._send(status, json.dumps(payload).encode("utf-8"), "application/json", headers)
 
     def _read_json(self) -> dict[str, Any] | None:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            # The body's extent is unknown, so nothing after the headers
+            # can be parsed as a next request: answer, then close.
+            self._send_json(
+                400,
+                {"error": "Content-Length must be a non-negative integer"},
+                headers={"Connection": "close"},
+            )
+            return None
+        length = int(declared)
         if length > _MAX_BODY_BYTES:
-            self._send_json(413, {"error": "request body too large"})
+            # The unread body would be parsed as the next request.
+            self._send_json(
+                413, {"error": "request body too large"}, headers={"Connection": "close"}
+            )
             return None
         raw = self.rfile.read(length) if length else b"{}"
         try:
@@ -235,11 +263,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _metrics(self) -> None:
         body = obs.render_prometheus().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(200, body, "text/plain; version=0.0.4")
 
 
 class ServiceHTTPServer:

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.cluster.barrier import KVBarrier
 from repro.cluster.cluster import Cluster
+from repro.perf.pivot_kernels import csr_rows
 from repro.stratify.kmodes import CompositeKModes
 from repro.stratify.minhash import MinHasher
 from repro.stratify.pivots import PivotExtractor
@@ -66,12 +67,12 @@ class DistributedStratifier:
             hasher = MinHasher(num_hashes=self.num_hashes, seed=self.seed)
             store = self.cluster.kv.store_for(node_id)
 
-            # Phase 1: pivot extraction (local).
-            pivot_sets = [extractor(items[i]) for i in indices]
+            # Phase 1: pivot extraction (local), one batch per node.
+            pivots = csr_rows(*extractor.extract_batch([items[i] for i in indices]))
             barrier.wait(party_id=node_id)
 
             # Phase 2: sketch generation, staged into the local store.
-            sketches = hasher.sketch_all(pivot_sets)
+            sketches = hasher.sketch_all(pivots)
             store.set(_SKETCH_KEY.format(node=node_id), sketches.tobytes())
             store.set(_INDEX_KEY.format(node=node_id), indices.tobytes())
             barrier.wait(party_id=node_id)

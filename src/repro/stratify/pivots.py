@@ -14,6 +14,10 @@ clustering, partitioning) are domain independent.
 All extractors return sets of non-negative ``int`` pivot ids in a
 ``2**32`` universe, produced by a deterministic (unsalted) mixer so runs
 are reproducible across processes.
+
+The per-item functions here are the reference oracles. Whole datasets
+go through :meth:`PivotExtractor.extract_batch`, which runs the batched
+kernels in :mod:`repro.perf.pivot_kernels` and is bit-identical to them.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.perf.minhash_kernels import flatten_sets
+from repro.perf.pivot_kernels import csr_lists, id_pivot_batch, tree_pivot_batch
 from repro.stratify.prufer import depths_from_parents, lca, prufer_sequence
 
 #: Size of the pivot universe; MinHash permutations operate modulo a
@@ -121,6 +127,24 @@ class PivotExtractor:
             return text_pivots(item)
         return {int(x) for x in item}
 
-    def extract_all(self, items: Iterable) -> list[set[int]]:
+    def extract_batch(self, items: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """Pivot-extract a whole dataset in one batch, in CSR form.
+
+        Returns ``(flat, offsets)``: item ``i``'s pivots are
+        ``flat[offsets[i]:offsets[i + 1]]``, sorted and de-duplicated
+        ``uint64`` values; equal, as sets, to calling this extractor on
+        each item.
+        """
+        if self.kind == "tree":
+            return tree_pivot_batch(items)
+        if self.kind == "graph":
+            return id_pivot_batch(items, 1)
+        if self.kind == "text":
+            return id_pivot_batch(items, 2)
+        return flatten_sets([sorted(self(item)) for item in items])
+
+    def extract_all(self, items: Sequence) -> list[set[int]]:
         """Extract pivot sets for a whole dataset, preserving order."""
-        return [self(item) for item in items]
+        if self.kind == "set":
+            return [self(item) for item in items]
+        return [set(row) for row in csr_lists(*self.extract_batch(items))]

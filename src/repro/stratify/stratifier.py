@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 import repro.obs as obs
+from repro.perf.pivot_kernels import csr_rows
 from repro.stratify.kmodes import CompositeKModes, KModesResult
 from repro.stratify.minhash import MinHasher
 from repro.stratify.pivots import PivotExtractor
@@ -130,9 +131,9 @@ class Stratifier:
         with obs.span(
             "stage.sketch", items=len(items), kind=self.kind, num_hashes=self.num_hashes
         ):
-            pivot_sets = self._extractor.extract_all(items)
+            pivots = csr_rows(*self._extractor.extract_batch(items))
             hasher = MinHasher(num_hashes=self.num_hashes, seed=self.seed)
-            return hasher.sketch_all(pivot_sets)
+            return hasher.sketch_all(pivots)
 
     def assign_new(
         self, stratification: Stratification, new_items: Sequence

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.stratify.pivots import tree_pivots
+from repro.perf.pivot_kernels import csr_lists, tree_pivot_batch
 from repro.workloads.base import Workload, WorkloadResult
 from repro.workloads.fpm.apriori import AprioriMiner
 
@@ -25,13 +25,12 @@ def trees_to_pivot_sets(records: Sequence) -> tuple[list[list[int]], float]:
 
     Returns the pivot transactions and the conversion work (total node
     count — each node is touched a constant number of times by Prüfer
-    encoding and LCA walks).
+    encoding and LCA walks). The whole partition converts in one batch
+    (:func:`~repro.perf.pivot_kernels.tree_pivot_batch`); the charged
+    work is the same node count the per-tree conversion charged.
     """
-    transactions: list[list[int]] = []
-    work = 0.0
-    for parent, labels in records:
-        transactions.append(sorted(tree_pivots(parent, labels)))
-        work += len(parent)
+    transactions = csr_lists(*tree_pivot_batch(records))
+    work = float(sum(len(parent) for parent, _ in records))
     return transactions, work
 
 

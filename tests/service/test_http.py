@@ -8,13 +8,17 @@ harness use.
 
 from __future__ import annotations
 
+import io
+import json
+import socket
 import threading
+from urllib.parse import urlparse
 
 import pytest
 
 import repro.obs as obs
 from repro.service.client import ServiceClient
-from repro.service.http import ServiceHTTPServer
+from repro.service.http import ServiceHTTPServer, _Handler
 from repro.service.jobs import JobState
 from repro.service.manager import JobManager, ServiceConfig
 
@@ -209,3 +213,94 @@ class TestConcurrentClients:
         assert len(results) == 12
         assert set(results) <= {202, 429}
         assert 202 in results
+
+
+def _raw_exchange(url: str, request: bytes) -> bytes:
+    """Send ``request`` on a fresh socket and read until the server
+    closes it; a server that neither answers nor closes fails the
+    read timeout instead of hanging the test."""
+    parsed = urlparse(url)
+    chunks: list[bytes] = []
+    with socket.create_connection((parsed.hostname, parsed.port), timeout=5.0) as sock:
+        sock.sendall(request)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _parse_reply(raw: bytes) -> tuple[int, dict[str, str], bytes]:
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in header_lines:
+        key, _, value = line.partition(":")
+        headers[key.strip().lower()] = value.strip()
+    return int(status_line.split()[1]), headers, body
+
+
+class TestContentLengthHardening:
+    @pytest.mark.parametrize(
+        "declared, expected", [("-1", 400), ("abc", 400), (str(2**21), 413)]
+    )
+    def test_bad_content_length_is_answered_then_closed(self, immediate, declared, expected):
+        client, manager = immediate
+        # No body follows: the server must answer from the headers alone.
+        # Unread bytes at close would make the kernel reset the
+        # connection, racing the client's read of the reply.
+        request = (
+            f"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {declared}\r\n"
+            "Content-Type: application/json\r\n\r\n"
+        ).encode()
+        # Reading to EOF proves the server closed the connection cleanly
+        # (rather than blocking in rfile.read(-1) or dropping the reply).
+        status, headers, body = _parse_reply(_raw_exchange(client.base_url, request))
+        assert status == expected
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        assert json.loads(body)["error"]
+        assert manager.stats()["jobs_tracked"] == 0
+        # The server is still healthy for the next client.
+        assert client.healthz().status == 200
+
+
+class _RecordingSocket:
+    """Stand-in connection: serves one request, records each send."""
+
+    def __init__(self, request: bytes):
+        self._request = io.BytesIO(request)
+        self.sends: list[bytes] = []
+
+    def makefile(self, mode: str, bufsize: int = -1):
+        assert "r" in mode, "replies must go through sendall, not a buffered file"
+        return self._request
+
+    def sendall(self, data) -> None:
+        self.sends.append(bytes(data))
+
+
+class TestOneWritePerReply:
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n",
+            b"GET /v1/jobs/job-missing HTTP/1.1\r\nHost: x\r\n\r\n",
+            b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}",
+            b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n",
+        ],
+        ids=["healthz", "metrics", "status-404", "submit-202", "submit-400"],
+    )
+    def test_headers_and_body_leave_in_one_send(self, request_bytes):
+        manager = JobManager(ImmediateExecutor(), ServiceConfig(max_queue_depth=4))
+        try:
+            conn = _RecordingSocket(request_bytes)
+            handler = type("Bound", (_Handler,), {"manager": manager})
+            handler(conn, ("127.0.0.1", 0), None)
+            assert len(conn.sends) == 1
+            # The one send carries the whole reply: headers and body.
+            _status, headers, body = _parse_reply(conn.sends[0])
+            assert int(headers["content-length"]) == len(body)
+        finally:
+            manager.drain(timeout_s=10.0)
