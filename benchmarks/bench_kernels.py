@@ -3,7 +3,7 @@
 Times the :mod:`repro.perf` kernels against the reference
 implementations they replaced — ragged-batch sketching, batched
 compositeKModes fit, blocked similarity matrix, packed-bitmap Apriori
-mining, the fast LZ77 coder, the batched WebGraph coder and batched
+mining, the fast LZ77 coder, the partition-wide WebGraph coder and batched
 pivot extraction on the swissprot/rcv1/uk dataset shapes — asserting
 bit-identical outputs before reporting any number, and writes the
 measurements to ``benchmarks/results/BENCH_kernels.json``.
@@ -63,6 +63,7 @@ FULL = {
     "lz77_bytes": 200_000,
     "webgraph_lists": 1_500,
     "webgraph_degree": (10, 60),
+    "webgraph_sweep_scale": 0.5,
     "pivot_size_scale": 1.0,
 }
 SMOKE = {
@@ -80,8 +81,11 @@ SMOKE = {
     "lz77_bytes": 12_000,
     "webgraph_lists": 120,
     "webgraph_degree": (5, 25),
+    "webgraph_sweep_scale": 0.1,
     "pivot_size_scale": 0.1,
 }
+#: Partition sizes (lists) of the WebGraph reference-vs-numpy sweep.
+WEBGRAPH_SWEEP_LISTS = (4, 8, 16, 32, 64, 128)
 
 
 def _pivot_sets(num_sets: int, size_range: tuple[int, int], rng) -> list[np.ndarray]:
@@ -266,7 +270,8 @@ def run_kernel_bench(cfg: dict) -> dict:
         "bit_identical": True,
     }
 
-    # -- WebGraph: batched interval/mask coder vs per-symbol loops ---------
+    # -- WebGraph: partition-wide numpy coder vs per-list reference -------
+    from repro.data.datasets import load_dataset
     from repro.workloads.compression.webgraph import WebGraphCodec
 
     wg_rng = np.random.default_rng(9)
@@ -279,24 +284,41 @@ def run_kernel_bench(cfg: dict) -> dict:
         keep = base[wg_rng.random(base.size) < 0.8]
         extra = wg_rng.choice(5_000, size=int(wg_rng.integers(0, 6)))
         adjacency.append(np.concatenate([keep, extra]).tolist())
-    fast_wg = WebGraphCodec(kernel="batched")
+    fast_wg = WebGraphCodec(kernel="numpy")
     ref_wg = WebGraphCodec(kernel="reference")
     wg_f, wst_f = fast_wg.compress(adjacency)
     wg_r, wst_r = ref_wg.compress(adjacency)
     assert wg_f == wg_r and wst_f == wst_r, "webgraph kernel diverged"
     t_batched = _best_of(lambda: fast_wg.compress(adjacency), repeats=2)
     t_reference = _best_of(lambda: ref_wg.compress(adjacency), repeats=1)
+    # Size sweep on uk-shaped partitions: consecutive slices of the uk
+    # dataset's adjacency, timed per call. The crossover it shows sets
+    # autotune.SMALL_WORK["webgraph"].
+    uk_items = load_dataset("uk", size_scale=cfg["webgraph_sweep_scale"]).items
+    sweep = []
+    for size in WEBGRAPH_SWEEP_LISTS:
+        step = max(size, (len(uk_items) - size) // 8)
+        parts = [uk_items[s : s + size] for s in range(0, len(uk_items) - size + 1, step)]
+        for part in parts:
+            assert fast_wg.compress(part) == ref_wg.compress(part), (
+                f"webgraph kernel diverged on a {size}-list partition"
+            )
+        t_ref = _best_of(lambda: [ref_wg.compress(p) for p in parts]) / len(parts)
+        t_np = _best_of(lambda: [fast_wg.compress(p) for p in parts]) / len(parts)
+        sweep.append(
+            {"lists": size, "reference_s": t_ref, "numpy_s": t_np, "speedup": t_ref / t_np}
+        )
     results["webgraph_compress"] = {
         "batched_s": t_batched,
         "reference_s": t_reference,
         "speedup": t_reference / t_batched,
         "tiers": _tiers(t_reference, t_batched, None),  # no native tier
         "bits_per_edge": wst_f.bits_per_edge,
+        "size_sweep": sweep,
         "bit_identical": True,
     }
 
     # -- pivot extraction: one CSR batch vs the per-item extractors ----
-    from repro.data.datasets import load_dataset
     from repro.perf.pivot_kernels import csr_lists
     from repro.stratify.pivots import PivotExtractor
 
@@ -358,6 +380,13 @@ def _render(results: dict) -> str:
         )
     if not results.get("native_available"):
         lines.append("(native tier not measured: numba unavailable)")
+    lines.append("webgraph size sweep (uk-shaped, per call):")
+    lines.append("  lists  reference      numpy  numpy-vs-ref")
+    for row in results["webgraph_compress"]["size_sweep"]:
+        lines.append(
+            f"  {row['lists']:>5}  {row['reference_s'] * 1e3:>7.3f}ms  "
+            f"{row['numpy_s'] * 1e3:>7.3f}ms  {row['speedup']:>11.2f}x"
+        )
     return "\n".join(lines)
 
 
@@ -394,6 +423,8 @@ def test_bench_kernels(benchmark):
             "pivot_extract",
         ):
             assert tiers["native"] > 0
+    sweep = results["webgraph_compress"]["size_sweep"]
+    assert [row["lists"] for row in sweep] == list(WEBGRAPH_SWEEP_LISTS)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,9 @@ the stratifier modules call into:
   graphs, SplitMix64 on ``uint64`` arrays) returning CSR batches.
 - :mod:`repro.perf.fpm_kernels` / :mod:`repro.perf.lz77_kernels` —
   packed-bitmap support counting and the precomputed-link LZ77 coder.
+- :mod:`repro.perf.webgraph_kernels` — the partition-wide WebGraph
+  coder: every reference candidate of a partition scored in array
+  passes, only the winners varint-encoded.
 - :mod:`repro.perf.native` — optional numba-compiled (``native``)
   counterparts of the four hottest kernels. Imports lazily; without
   numba the tier reports unavailable and nothing changes.

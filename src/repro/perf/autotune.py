@@ -63,8 +63,8 @@ TIERS = ("reference", "numpy", "native")
 #: Pre-autotuner kernel spellings, kept as aliases of the numpy tier.
 _ALIASES = {"batched": "numpy", "bitmap": "numpy", "fast": "numpy"}
 
-#: Tiers each kernel kind actually implements. WebGraph's batched coder
-#: is symbol-stream bookkeeping over Python sets — no native candidate.
+#: Tiers each kernel kind actually implements. WebGraph's numpy coder
+#: (``perf/webgraph_kernels.py``) has no native counterpart.
 KIND_TIERS = {
     "minhash": ("reference", "numpy", "native"),
     "kmodes": ("reference", "numpy", "native"),
@@ -77,13 +77,15 @@ KIND_TIERS = {
 #: batched tiers' fixed dispatch overhead (array conversion, packing,
 #: argsort setup). Work units per kind: minhash = elements x hashes;
 #: kmodes = rows x clusters x attrs x L; fpm/webgraph = input records;
-#: lz77 = input bytes.
+#: lz77 = input bytes. webgraph is the smallest size at which numpy
+#: beat the reference in ``bench_kernels.py``'s uk-shaped size sweep
+#: (``webgraph_compress.size_sweep``: 0.66x at 8 lists, 1.26x at 16).
 SMALL_WORK = {
     "minhash": 2048,
     "kmodes": 4096,
     "fpm": 16,
     "lz77": 512,
-    "webgraph": 8,
+    "webgraph": 16,
 }
 
 #: BENCH_kernels.json section holding each kind's per-tier timings.

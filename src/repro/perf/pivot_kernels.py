@@ -90,7 +90,7 @@ def csr_lists(flat: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
     return [values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _flatten(items: Sequence[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
+def flatten_ids(items: Sequence[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Concatenate ragged int sequences → ``(int64 values, lengths)``."""
     items = [x if hasattr(x, "__len__") else list(x) for x in items]
     lengths = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
@@ -108,7 +108,7 @@ def id_pivot_batch(
     ``salt`` is 1 for graph neighbour lists and 2 for text token lists
     (:func:`repro.stratify.pivots.graph_pivots` / ``text_pivots``).
     """
-    values, lengths = _flatten(items)
+    values, lengths = flatten_ids(items)
     owner = np.repeat(np.arange(lengths.size), lengths)
     return _csr_unique(owner, stable_pivot_ids(values, salt, salt), lengths.size)
 
@@ -201,8 +201,8 @@ def tree_pivot_batch(items: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """
     items = list(items)
     n_trees = len(items)
-    parent, size = _flatten([p for p, _ in items])
-    labels, n_labels = _flatten([lab for _, lab in items])
+    parent, size = flatten_ids([p for p, _ in items])
+    labels, n_labels = flatten_ids([lab for _, lab in items])
     total = parent.size
     tree_of, local = _ragged(size)
     start = np.cumsum(size) - size

@@ -12,7 +12,8 @@ Routes (all bodies JSON):
 POST   /v1/jobs                  submit a job spec → 202 (queued) or
                                  429 + ``Retry-After`` (rejected) or 400
                                  (bad spec, body or ``Content-Length``) or
-                                 413 (body over 1 MiB)
+                                 413 (body over 1 MiB) or 408 (body
+                                 stalled for ``_BODY_TIMEOUT_S``)
 GET    /v1/jobs/<id>             job status snapshot (404 unknown/expired)
 GET    /v1/jobs/<id>/result      result payload (409 until terminal)
 POST   /v1/jobs/<id>/cancel      cancel a queued job
@@ -46,6 +47,11 @@ __all__ = ["ServiceHTTPServer"]
 _log = get_logger(__name__)
 
 _MAX_BODY_BYTES = 1 << 20
+
+#: Seconds the server waits for the next bytes of a declared request
+#: body. Set only around the body read, so idle keep-alive connections
+#: keep the handler's own timeout.
+_BODY_TIMEOUT_S = 10.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -87,6 +93,19 @@ class _Handler(BaseHTTPRequestHandler):
     ) -> None:
         self._send(status, json.dumps(payload).encode("utf-8"), "application/json", headers)
 
+    def _read_body(self, length: int) -> bytes | None:
+        """Read ``length`` body bytes, or ``None`` when the body stalls for
+        :data:`_BODY_TIMEOUT_S` (a client that declared more than it sent
+        would otherwise hold this thread until it hangs up)."""
+        previous = self.connection.gettimeout()
+        self.connection.settimeout(_BODY_TIMEOUT_S)
+        try:
+            return self.rfile.read(length)
+        except TimeoutError:
+            return None
+        finally:
+            self.connection.settimeout(previous)
+
     def _read_json(self) -> dict[str, Any] | None:
         declared = (self.headers.get("Content-Length") or "0").strip()
         if not (declared.isascii() and declared.isdigit()):
@@ -105,7 +124,14 @@ class _Handler(BaseHTTPRequestHandler):
                 413, {"error": "request body too large"}, headers={"Connection": "close"}
             )
             return None
-        raw = self.rfile.read(length) if length else b"{}"
+        raw = self._read_body(length) if length else b"{}"
+        if raw is None:
+            # The rest of the body may still arrive and would be parsed
+            # as the next request: answer, then close.
+            self._send_json(
+                408, {"error": "request body timed out"}, headers={"Connection": "close"}
+            )
+            return None
         try:
             payload = json.loads(raw or b"{}")
         except ValueError:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.perf import autotune
-from repro.perf.lz77_kernels import encode_varints_bytes
+from repro.perf.webgraph_kernels import MIN_INTERVAL_LENGTH, compress_partition
 from repro.workloads.compression.varint import (
     decode_varint,
     encode_varint,
@@ -35,10 +35,6 @@ from repro.workloads.compression.varint import (
 
 _PLAIN = 0
 _REFERENCED = 1
-
-#: Minimum run of consecutive ids encoded as an interval (WebGraph's
-#: ``Lmin``; runs shorter than this go through gap coding).
-MIN_INTERVAL_LENGTH = 3
 
 
 def _split_intervals(values: Sequence[int]) -> tuple[list[tuple[int, int]], list[int]]:
@@ -124,47 +120,6 @@ def _decode_plain(data: bytes, pos: int) -> tuple[list[int], int]:
     return sorted(values), pos
 
 
-def _varint_len(value: int) -> int:
-    """Byte length of ``encode_varint(value)`` without building bytes."""
-    return (value.bit_length() + 6) // 7 if value else 1
-
-
-def _symbols_len(symbols: list[int]) -> int:
-    """Total encoded byte length of a symbol list (most symbols are one
-    byte, so only multi-byte values pay the bit_length arithmetic)."""
-    total = len(symbols)
-    for s in symbols:
-        if s >= 128:
-            total += (s.bit_length() + 6) // 7 - 1
-    return total
-
-
-def _plain_symbols(neighbours: Sequence[int]) -> list[int]:
-    """The varint symbol sequence :func:`_encode_plain` would emit."""
-    intervals, residuals = _split_intervals(list(neighbours))
-    symbols = [len(intervals)]
-    symbols += gaps_encode([start for start, _ in intervals])
-    symbols += [length - MIN_INTERVAL_LENGTH for _, length in intervals]
-    gaps = gaps_encode(residuals)
-    symbols.append(len(gaps))
-    symbols += gaps
-    return symbols
-
-
-def _referenced_symbols(
-    target: set[int], shared: set[int], reference: Sequence[int], ref_offset: int
-) -> list[int]:
-    """The varint symbol sequence :func:`_encode_referenced` would emit.
-
-    ``shared`` must be ``target ∩ reference`` — the caller already built
-    it for the cheap-reject test, and it doubles as the copied set.
-    """
-    mask = [v in shared for v in reference]
-    extras = sorted(target - shared)
-    runs = _copy_runs(mask)
-    return [ref_offset, len(runs)] + runs + _plain_symbols(extras)
-
-
 def _copy_runs(mask: Sequence[bool]) -> list[int]:
     """Run-length encode a boolean copy mask, first run = kept entries."""
     runs: list[int] = []
@@ -233,12 +188,14 @@ class WebGraphCodec:
         ``W``; 7 is the format's classic default).
     kernel:
         ``"auto"`` (default) dispatches on partition size; ``"numpy"``
-        (alias ``"batched"``) scores reference candidates by computed
-        byte length and varint-encodes the whole partition in one
-        batched call; ``"reference"`` serializes every candidate with
-        per-symbol Python loops. There is no native tier — the coder is
-        symbol-stream bookkeeping over Python sets. Blobs and stats are
-        byte-identical.
+        (alias ``"batched"``) scores every reference candidate of the
+        partition at once in array passes and varint-encodes only the
+        winners, in one call
+        (:func:`repro.perf.webgraph_kernels.compress_partition`);
+        ``"reference"`` serializes every candidate with per-symbol
+        Python loops. There is no native tier. Blobs and stats are
+        byte-identical. The numpy tier takes ids that are non-negative
+        and fit in ``int64``.
     """
 
     window: int = 7
@@ -256,58 +213,19 @@ class WebGraphCodec:
         )
         if tier == "reference":
             return self.compress_reference(adjacency)
-        return self._compress_batched(adjacency)
-
-    def _compress_batched(self, adjacency: Sequence[Sequence[int]]) -> tuple[bytes, WebGraphStats]:
-        """Symbol-stream coder: byte-identical blob, one batched encode.
-
-        Every byte the format emits is a varint — the flag bytes 0/1
-        are exactly their own varint encodings — so the whole blob is
-        one varint stream. The coder therefore accumulates plain int
-        symbols, scores each reference candidate by its *computed* byte
-        length (the reference path serializes all ``window`` candidates
-        and throws most away), and serializes the winning stream with a
-        single :func:`encode_varints_bytes` call at the end.
-        """
-        stats = WebGraphStats()
-        symbols: list[int] = [len(adjacency)]
-        history: list[list[int]] = []
-        for raw in adjacency:
-            neighbours = sorted(set(int(v) for v in raw))
-            stats.input_edges += len(neighbours)
-            target = set(neighbours)
-            best = _plain_symbols(neighbours)
-            best_len = _symbols_len(best)
-            best_flag = _PLAIN
-            for back in range(1, min(self.window, len(history)) + 1):
-                reference = history[-back]
-                stats.work_units += len(reference)
-                shared = target.intersection(reference)
-                if not shared:
-                    continue
-                cand = _referenced_symbols(target, shared, reference, back)
-                cand_len = _symbols_len(cand)
-                if cand_len < best_len:
-                    best = cand
-                    best_len = cand_len
-                    best_flag = _REFERENCED
-            symbols.append(best_flag)
-            symbols += best
-            stats.work_units += best_len + len(neighbours)
-            if best_flag == _REFERENCED:
-                stats.referenced_lists += 1
-            else:
-                stats.plain_lists += 1
-            history.append(neighbours)
-            if len(history) > self.window:
-                history.pop(0)
-        blob = encode_varints_bytes(symbols)
-        stats.raw_bytes = 4 * stats.input_edges
-        stats.output_bytes = len(blob)
+        blob, counts = compress_partition(adjacency, self.window)
+        stats = WebGraphStats(
+            input_edges=counts.input_edges,
+            raw_bytes=4 * counts.input_edges,
+            output_bytes=len(blob),
+            referenced_lists=counts.referenced_lists,
+            plain_lists=len(adjacency) - counts.referenced_lists,
+            work_units=float(counts.work_units),
+        )
         return blob, stats
 
     def compress_reference(self, adjacency: Sequence[Sequence[int]]) -> tuple[bytes, WebGraphStats]:
-        """Per-symbol Python coder — the batched kernel's oracle."""
+        """Per-symbol Python coder — the numpy kernel's oracle."""
         stats = WebGraphStats()
         out = bytearray(encode_varint(len(adjacency)))
         history: list[list[int]] = []

@@ -100,7 +100,7 @@ class TestWebGraphEquivalence:
     @given(adjacency_strategy, st.sampled_from([0, 1, 3, 7]))
     @settings(max_examples=50, deadline=None)
     def test_blob_and_stats_match_reference(self, adjacency, window):
-        fast = WebGraphCodec(window=window, kernel="batched")
+        fast = WebGraphCodec(window=window, kernel="numpy")
         ref = WebGraphCodec(window=window, kernel="reference")
         blob_f, st_f = fast.compress(adjacency)
         blob_r, st_r = ref.compress(adjacency)
@@ -111,6 +111,6 @@ class TestWebGraphEquivalence:
 
     def test_interval_heavy_lists(self):
         adjacency = [list(range(10, 40)), list(range(10, 40)) + [99], [0, 2, 4, 6]]
-        fast, _ = WebGraphCodec(kernel="batched").compress(adjacency)
+        fast, _ = WebGraphCodec(kernel="numpy").compress(adjacency)
         ref, _ = WebGraphCodec(kernel="reference").compress(adjacency)
         assert fast == ref

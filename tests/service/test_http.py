@@ -18,6 +18,7 @@ import pytest
 
 import repro.obs as obs
 from repro.service.client import ServiceClient
+import repro.service.http as http_module
 from repro.service.http import ServiceHTTPServer, _Handler
 from repro.service.jobs import JobState
 from repro.service.manager import JobManager, ServiceConfig
@@ -264,6 +265,25 @@ class TestContentLengthHardening:
         # The server is still healthy for the next client.
         assert client.healthz().status == 200
 
+    def test_truncated_body_times_out_with_408(self, immediate, monkeypatch):
+        client, manager = immediate
+        monkeypatch.setattr(http_module, "_BODY_TIMEOUT_S", 0.3)
+        request = (
+            b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n"
+            b"Content-Type: application/json\r\n\r\n" + b'{"kind": "'
+        )
+        handlers_before = threading.active_count()
+        # Reading to EOF proves the handler gave up on the missing 90
+        # bytes and closed the connection instead of waiting for them.
+        status, headers, body = _parse_reply(_raw_exchange(client.base_url, request))
+        assert status == 408
+        assert headers["connection"] == "close"
+        assert json.loads(body)["error"]
+        assert manager.stats()["jobs_tracked"] == 0
+        # The handler thread is freed, and the server still answers.
+        assert wait_for(lambda: threading.active_count() <= handlers_before)
+        assert client.healthz().status == 200
+
 
 class _RecordingSocket:
     """Stand-in connection: serves one request, records each send."""
@@ -278,6 +298,12 @@ class _RecordingSocket:
 
     def sendall(self, data) -> None:
         self.sends.append(bytes(data))
+
+    def gettimeout(self) -> float | None:
+        return None
+
+    def settimeout(self, _timeout: float | None) -> None:
+        pass
 
 
 class TestOneWritePerReply:
