@@ -3,7 +3,8 @@
 Times the :mod:`repro.perf` kernels against the reference
 implementations they replaced — ragged-batch sketching, batched
 compositeKModes fit, blocked similarity matrix, packed-bitmap Apriori
-mining, the fast LZ77 coder, the partition-wide WebGraph coder and batched
+mining, the levelwise Apriori join/prune per level plus an fpm size
+sweep, the fast LZ77 coder, the partition-wide WebGraph coder and batched
 pivot extraction on the swissprot/rcv1/uk dataset shapes — asserting
 bit-identical outputs before reporting any number, and writes the
 measurements to ``benchmarks/results/BENCH_kernels.json``.
@@ -65,6 +66,8 @@ FULL = {
     "webgraph_degree": (10, 60),
     "webgraph_sweep_scale": 0.5,
     "pivot_size_scale": 1.0,
+    "fpm_size_scale": 0.5,
+    "fpm_sweep_parts": 8,
 }
 SMOKE = {
     "num_sets": 400,
@@ -83,9 +86,128 @@ SMOKE = {
     "webgraph_degree": (5, 25),
     "webgraph_sweep_scale": 0.1,
     "pivot_size_scale": 0.1,
+    "fpm_size_scale": 0.5,
+    "fpm_sweep_parts": 1,
 }
 #: Partition sizes (lists) of the WebGraph reference-vs-numpy sweep.
 WEBGRAPH_SWEEP_LISTS = (4, 8, 16, 32, 64, 128)
+#: Partition sizes (transactions) of the fpm reference-vs-numpy sweep.
+FPM_SWEEP_TX = (4, 8, 16, 32, 64, 128)
+#: The sim-sweep benchmark's fpm pairs: dataset, support, max_len.
+FPM_SHAPES = (("rcv1", 0.1, 3), ("swissprot", 0.12, 2))
+
+
+def _fpm_transactions(name: str, scale: float) -> list:
+    """The dataset's mining transactions (pivot sets for trees)."""
+    from repro.data.datasets import load_dataset
+    from repro.workloads.fpm.treemining import trees_to_pivot_sets
+
+    items = load_dataset(name, size_scale=scale).items
+    return trees_to_pivot_sets(items)[0] if name == "swissprot" else items
+
+
+def _quarters(items: list) -> list[list]:
+    step = -(-len(items) // 4)
+    return [items[s : s + step] for s in range(0, len(items), step)]
+
+
+def _apriori_levels(cfg: dict) -> dict:
+    """Per-level join/prune cost, reference vs numpy, on the sim-sweep
+    shapes: each dataset split into four partitions, as the pipeline's
+    four-node plans do. Candidate lists are asserted equal first."""
+    from repro.perf.apriori_kernels import join_prune
+    from repro.perf.fpm_kernels import candidate_supports, pack_transactions
+    from repro.workloads.fpm.apriori import AprioriMiner
+
+    out = {}
+    for name, support, max_len in FPM_SHAPES:
+        parts = _quarters(_fpm_transactions(name, cfg["fpm_size_scale"]))
+        levels: dict[int, dict] = {}
+        for part in parts:
+            bitmap = pack_transactions(part)
+            min_count = max(1, int(-(-support * bitmap.num_transactions // 1)))
+            level = np.flatnonzero(bitmap.supports >= min_count)[:, None]
+            for k in range(2, max_len + 1):
+                current = [tuple(r) for r in bitmap.items[level].tolist()]
+                expected = AprioriMiner._generate_candidates(current, k)
+                rows = join_prune(level, bitmap.num_items)
+                assert [tuple(r) for r in bitmap.items[rows].tolist()] == expected, (
+                    f"join/prune diverged on {name} at k={k}"
+                )
+                row = levels.setdefault(k, {"candidates": 0, "reference_s": 0.0, "numpy_s": 0.0})
+                row["candidates"] += len(expected)
+                row["reference_s"] += _best_of(
+                    lambda: AprioriMiner._generate_candidates(current, k)
+                )
+                row["numpy_s"] += _best_of(lambda: join_prune(level, bitmap.num_items))
+                level = rows[candidate_supports(bitmap, rows) >= min_count]
+        miners = {
+            tier: AprioriMiner(support, max_len, kernel=tier) for tier in ("reference", "numpy")
+        }
+        for part in parts:
+            ref, fast = miners["reference"].mine(part), miners["numpy"].mine(part)
+            assert fast.counts == ref.counts, f"apriori diverged on {name}"
+            assert (fast.candidates_generated, fast.work_units) == (
+                ref.candidates_generated,
+                ref.work_units,
+            )
+        t_ref = _best_of(lambda: [miners["reference"].mine(p) for p in parts], repeats=1)
+        t_np = _best_of(lambda: [miners["numpy"].mine(p) for p in parts])
+        out[name] = {
+            "partitions": [len(p) for p in parts],
+            "levels": [{"k": k, **row} for k, row in sorted(levels.items())],
+            "mine_reference_s": t_ref,
+            "mine_numpy_s": t_np,
+        }
+    return out
+
+
+def _fpm_size_sweep(cfg: dict) -> tuple[list[dict], int | None]:
+    """Reference vs numpy per call at small partition sizes, for both
+    entry points ``SMALL_WORK["fpm"]`` dispatches: ``mine`` (rcv1 and
+    swissprot pivot sets) and ``count_patterns`` (rcv1, against the
+    union of locally frequent patterns as Savasere's phase 2 counts).
+    Returns the rows and the smallest size from which numpy wins every
+    call at that size and all larger ones."""
+    from repro.workloads.fpm.apriori import AprioriMiner, count_patterns
+
+    rows = []
+    for name, support, max_len in FPM_SHAPES:
+        items = _fpm_transactions(name, cfg["fpm_size_scale"])
+        miners = {
+            tier: AprioriMiner(support, max_len, kernel=tier) for tier in ("reference", "numpy")
+        }
+        candidates = sorted(
+            set().union(*(miners["numpy"].mine(q).counts for q in _quarters(items)))
+        )
+        for size in FPM_SWEEP_TX:
+            step = max(size, (len(items) - size) // cfg["fpm_sweep_parts"])
+            parts = [items[s : s + size] for s in range(0, len(items) - size + 1, step)]
+            parts = parts[: cfg["fpm_sweep_parts"]]
+            row = {"dataset": name, "transactions": size}
+            calls = {"mine": lambda p, tier: miners[tier].mine(p)}
+            if name == "rcv1":
+                calls["count"] = lambda p, tier: count_patterns(p, candidates, kernel=tier)
+            for call, fn in calls.items():
+                for part in parts:
+                    a, b = fn(part, "numpy"), fn(part, "reference")
+                    if call == "mine":
+                        a, b = (a.counts, a.work_units), (b.counts, b.work_units)
+                    assert a == b, f"fpm {call} diverged on a {size}-transaction {name} partition"
+                t_ref = _best_of(lambda: [fn(p, "reference") for p in parts]) / len(parts)
+                t_np = _best_of(lambda: [fn(p, "numpy") for p in parts]) / len(parts)
+                row[f"{call}_reference_s"] = t_ref
+                row[f"{call}_numpy_s"] = t_np
+                row[f"{call}_speedup"] = t_ref / t_np
+            rows.append(row)
+    crossover = None
+    for size in reversed(FPM_SWEEP_TX):
+        at_size = [r for r in rows if r["transactions"] == size]
+        if all(v > 1.0 for r in at_size for k, v in r.items() if k.endswith("_speedup")):
+            crossover = size
+        else:
+            break
+    return rows, crossover
 
 
 def _pivot_sets(num_sets: int, size_range: tuple[int, int], rng) -> list[np.ndarray]:
@@ -318,6 +440,15 @@ def run_kernel_bench(cfg: dict) -> dict:
         "bit_identical": True,
     }
 
+    # -- Apriori levels + fpm size sweep on the sim-sweep shapes ---------
+    sweep, crossover = _fpm_size_sweep(cfg)
+    results["apriori_levels"] = {
+        "datasets": _apriori_levels(cfg),
+        "size_sweep": sweep,
+        "crossover_transactions": crossover,
+        "bit_identical": True,
+    }
+
     # -- pivot extraction: one CSR batch vs the per-item extractors ----
     from repro.perf.pivot_kernels import csr_lists
     from repro.stratify.pivots import PivotExtractor
@@ -387,6 +518,24 @@ def _render(results: dict) -> str:
             f"  {row['lists']:>5}  {row['reference_s'] * 1e3:>7.3f}ms  "
             f"{row['numpy_s'] * 1e3:>7.3f}ms  {row['speedup']:>11.2f}x"
         )
+    levels = results["apriori_levels"]
+    lines.append("apriori levels (join + prune, four partitions):")
+    lines.append("  dataset    k  candidates  reference      numpy  numpy-vs-ref")
+    for name, r in levels["datasets"].items():
+        for row in r["levels"]:
+            lines.append(
+                f"  {name:<9} {row['k']:>2}  {row['candidates']:>10}  "
+                f"{row['reference_s'] * 1e3:>7.2f}ms  {row['numpy_s'] * 1e3:>7.2f}ms  "
+                f"{row['reference_s'] / row['numpy_s']:>11.2f}x"
+            )
+    lines.append("fpm size sweep (per call, numpy-vs-ref):")
+    lines.append("  dataset    transactions     mine    count")
+    for row in levels["size_sweep"]:
+        count = f"{row['count_speedup']:>7.2f}x" if "count_speedup" in row else "      --"
+        lines.append(
+            f"  {row['dataset']:<9} {row['transactions']:>12}  {row['mine_speedup']:>6.2f}x  {count}"
+        )
+    lines.append(f"  numpy wins every call from {levels['crossover_transactions']} transactions")
     return "\n".join(lines)
 
 
@@ -425,6 +574,9 @@ def test_bench_kernels(benchmark):
             assert tiers["native"] > 0
     sweep = results["webgraph_compress"]["size_sweep"]
     assert [row["lists"] for row in sweep] == list(WEBGRAPH_SWEEP_LISTS)
+    levels = results["apriori_levels"]
+    assert levels["bit_identical"]
+    assert [r["transactions"] for r in levels["size_sweep"]] == list(FPM_SWEEP_TX) * len(FPM_SHAPES)
 
 
 if __name__ == "__main__":

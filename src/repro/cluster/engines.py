@@ -29,6 +29,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 from typing import Any, Sequence
 
 
@@ -318,16 +319,27 @@ class SimulatedEngine(ExecutionEngine):
         ]
 
 
-def _worker_ignore_sigint() -> None:
-    """Pool-worker initializer: leave Ctrl-C to the parent.
+def _init_worker() -> None:
+    """Pool-worker initializer.
 
-    A terminal delivers SIGINT to the whole foreground process group; a
-    worker interrupted mid ``call_queue.get()`` prints a traceback and
-    can wedge the queue into a BrokenProcessPool. Workers ignore the
-    signal so only the parent reacts and drains via :meth:`shutdown`
+    Ctrl-C is left to the parent: a terminal delivers SIGINT to the
+    whole foreground process group, and a worker interrupted mid
+    ``call_queue.get()`` prints a traceback and can wedge the queue
+    into a BrokenProcessPool. Workers ignore the signal so only the
+    parent reacts and drains via :meth:`ProcessPoolEngine.shutdown`
     (which still SIGTERMs workers if they hang).
+
+    The multiprocessing resource tracker's lock is replaced. A forked
+    child inherits every lock as it was at the fork, and CPython does
+    not reset this one: if a parent thread was registering a
+    shared-memory segment at that moment, the child's first segment
+    attach (which registers too) waits forever on a lock no thread of
+    the child will release, and the job never returns.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    tracker = getattr(resource_tracker, "_resource_tracker", None)
+    if tracker is not None and hasattr(tracker, "_lock"):
+        tracker._lock = threading.RLock()
 
 
 def _pool_task(
@@ -443,10 +455,24 @@ class ProcessPoolEngine(ExecutionEngine):
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lifecycle:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    initializer=_worker_ignore_sigint,
+                pool = ProcessPoolExecutor(
+                    max_workers=self.max_workers, initializer=_init_worker
                 )
+                # A fork-context executor forks all its workers on its
+                # first submit. Do that here, under the lifecycle lock
+                # and before any job publishes segments, rather than
+                # inside some job's map while sibling jobs run. The
+                # resource tracker starts first so the workers share
+                # the parent's (see dataplane._attach) instead of each
+                # starting its own on its first attach.
+                if self.use_shared_memory:
+                    resource_tracker.ensure_running()
+                try:
+                    pool.submit(int).result()
+                except BaseException:
+                    pool.shutdown(wait=False)
+                    raise
+                self._pool = pool
                 self._pools_created += 1
                 log_event(
                     _log, logging.DEBUG, "engine.pool.created",

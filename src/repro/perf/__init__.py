@@ -17,7 +17,11 @@ the stratifier modules call into:
   forest-wide Prüfer/LCA pass for trees, flat id hashing for text and
   graphs, SplitMix64 on ``uint64`` arrays) returning CSR batches.
 - :mod:`repro.perf.fpm_kernels` / :mod:`repro.perf.lz77_kernels` —
-  packed-bitmap support counting and the precomputed-link LZ77 coder.
+  packed-bitmap support counting (packed straight from CSR batches)
+  and the precomputed-link LZ77 coder.
+- :mod:`repro.perf.apriori_kernels` — levelwise Apriori candidate
+  generation: join and prune of a whole level as array passes over
+  ``(m, k)`` bitmap row indices.
 - :mod:`repro.perf.webgraph_kernels` — the partition-wide WebGraph
   coder: every reference candidate of a partition scored in array
   passes, only the winners varint-encoded.

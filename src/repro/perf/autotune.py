@@ -77,9 +77,12 @@ KIND_TIERS = {
 #: batched tiers' fixed dispatch overhead (array conversion, packing,
 #: argsort setup). Work units per kind: minhash = elements x hashes;
 #: kmodes = rows x clusters x attrs x L; fpm/webgraph = input records;
-#: lz77 = input bytes. webgraph is the smallest size at which numpy
-#: beat the reference in ``bench_kernels.py``'s uk-shaped size sweep
-#: (``webgraph_compress.size_sweep``: 0.66x at 8 lists, 1.26x at 16).
+#: lz77 = input bytes. webgraph and fpm are the smallest sizes from
+#: which numpy beat the reference in ``bench_kernels.py``'s size sweeps:
+#: ``webgraph_compress.size_sweep`` on uk-shaped partitions (0.66x at 8
+#: lists, 1.26x at 16) and ``apriori_levels.size_sweep`` on the rcv1 and
+#: swissprot shapes, where ``count_patterns`` sets the bar (~0.9x at 8
+#: transactions, ~1.5x at 16; ``mine`` wins from 4).
 SMALL_WORK = {
     "minhash": 2048,
     "kmodes": 4096,

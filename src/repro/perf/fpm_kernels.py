@@ -23,11 +23,13 @@ the work-unit accounting all match the reference exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.perf.minhash_kernels import DEFAULT_CHUNK_BYTES
+from repro.perf.pivot_kernels import flatten_ids
 
 
 @dataclass(frozen=True)
@@ -88,17 +90,27 @@ def pack_transactions(transactions: Sequence[Iterable[int]]) -> TransactionBitma
     Duplicate items within a transaction collapse to one bit, matching
     the reference miners' ``frozenset(t)`` conversion.
     """
-    tx_ids: list[int] = []
-    values: list[int] = []
-    n_tx = 0
-    for tid, t in enumerate(transactions):
-        n_tx = tid + 1
-        distinct = set(t)
-        values.extend(distinct)
-        tx_ids.extend([tid] * len(distinct))
+    values, lengths = flatten_ids(transactions)
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return pack_csr(values, offsets)
+
+
+def pack_csr(values: np.ndarray, offsets: np.ndarray) -> TransactionBitmap:
+    """Pack a CSR batch: transaction ``t`` is ``values[offsets[t]:offsets[t + 1]]``.
+
+    Items need not be sorted or distinct within a transaction; ids must
+    fit in int64. One stable sort by item orders the set bits by (row,
+    transaction): a repeated item is then a neighbouring duplicate, and
+    each bitmap word is one ``bitwise_or.reduceat`` of its bits.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind == "u" and values.size and values.max() > np.iinfo(np.int64).max:
+        raise ValueError("item ids must fit in int64")
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n_tx = offsets.size - 1
     num_words = max(1, -(-n_tx // 64))
-    vals = np.asarray(values, dtype=np.int64)
-    if vals.size == 0:
+    if values.size == 0:
         return TransactionBitmap(
             items=np.empty(0, dtype=np.int64),
             bits=np.zeros((1, num_words), dtype=np.uint64),
@@ -106,19 +118,31 @@ def pack_transactions(transactions: Sequence[Iterable[int]]) -> TransactionBitma
             num_transactions=n_tx,
             total_occurrences=0,
         )
-    items, rows = np.unique(vals, return_inverse=True)
-    tx = np.asarray(tx_ids, dtype=np.uint64)
+    # Stable: the flat array is transaction-major, so each item's
+    # transactions stay ascending.
+    order = np.argsort(values, kind="stable")
+    ordered = values[order].astype(np.int64, copy=False)
+    tx = np.repeat(np.arange(n_tx, dtype=np.int64), np.diff(offsets))[order]
+    new_item = np.empty(ordered.size, dtype=bool)
+    new_item[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_item[1:])
+    keep = new_item.copy()
+    keep[1:] |= tx[1:] != tx[:-1]
+    items = ordered[new_item]
+    rows = (np.cumsum(new_item) - 1)[keep]
+    tx = tx[keep]
+    cell = rows * num_words + (tx >> 6)
+    starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
     bits = np.zeros((items.size + 1, num_words), dtype=np.uint64)
-    np.bitwise_or.at(
-        bits, (rows, (tx >> np.uint64(6)).astype(np.int64)), np.uint64(1) << (tx & np.uint64(63))
+    bits.reshape(-1)[cell[starts]] = np.bitwise_or.reduceat(
+        np.left_shift(np.uint64(1), (tx & 63).astype(np.uint64)), starts
     )
-    supports = np.bitwise_count(bits[:-1]).sum(axis=1, dtype=np.int64)
     return TransactionBitmap(
         items=items,
         bits=bits,
-        supports=supports,
+        supports=np.bincount(rows, minlength=items.size).astype(np.int64),
         num_transactions=n_tx,
-        total_occurrences=int(vals.size),
+        total_occurrences=int(rows.size),
     )
 
 
@@ -178,10 +202,9 @@ def pattern_supports(
             for p in group:
                 counts[p] = bitmap.num_transactions
             continue
-        idx = bitmap.rows_for(np.asarray(group, dtype=np.int64).reshape(len(group), k))
-        sup = supports(bitmap, idx)
-        for p, c in zip(group, sup):
-            counts[p] = int(c)
+        flat = np.fromiter(chain.from_iterable(group), dtype=np.int64, count=len(group) * k)
+        sup = supports(bitmap, bitmap.rows_for(flat.reshape(len(group), k)))
+        counts.update(zip(group, sup.tolist()))
     return counts
 
 

@@ -114,22 +114,34 @@ def encode_varint_batch(values: Sequence[int] | np.ndarray) -> tuple[np.ndarray,
             ) from exc
     if v.size == 0:
         return np.empty(0, dtype=np.uint8), np.zeros(1, dtype=np.int64)
-    nbytes = np.ones(v.size, dtype=np.int64)
-    shifted = v >> np.uint64(7)
-    while shifted.any():
-        nbytes += shifted > 0
-        shifted >>= np.uint64(7)
+    # ``v`` is a private copy and is shifted in place; ``offsets``
+    # doubles as the write cursor. Every other temporary holds one byte
+    # per value: pass ``j`` writes byte ``j`` of every value, values
+    # already finished into a sink byte past the end.
+    nbytes = np.ones(v.size, dtype=np.uint8)
+    top, shift = int(v.max()), 7
+    while top >> shift:
+        nbytes += v >= np.uint64(1 << shift)
+        shift += 7
     offsets = np.zeros(v.size + 1, dtype=np.int64)
-    np.cumsum(nbytes, out=offsets[1:])
-    buf = np.empty(int(offsets[-1]), dtype=np.uint8)
-    rem = v.copy()
-    for j in range(int(nbytes.max())):
-        active = nbytes > j
-        byte = (rem[active] & np.uint64(0x7F)).astype(np.uint8)
-        cont = (nbytes[active] > j + 1).astype(np.uint8) << np.uint8(7)
-        buf[offsets[:-1][active] + j] = byte | cont
-        rem >>= np.uint64(7)
-    return buf, offsets
+    offsets[1:] = nbytes
+    np.cumsum(offsets, out=offsets)
+    total = int(offsets[-1])
+    buf = np.empty(total + 1, dtype=np.uint8)
+    pos = offsets[:-1]  # advanced in place; ``offsets`` is rebuilt below
+    for j in range(1, int(nbytes.max()) + 1):
+        more = nbytes > j
+        byte = v.astype(np.uint8)
+        byte &= np.uint8(0x7F)
+        byte |= more.view(np.uint8) << np.uint8(7)
+        buf[pos] = byte
+        v >>= np.uint64(7)
+        pos += more
+        np.putmask(pos, ~more, total)
+    offsets[0] = 0
+    offsets[1:] = nbytes
+    np.cumsum(offsets, out=offsets)
+    return buf[:total], offsets
 
 
 def encode_varints_bytes(values: Sequence[int] | np.ndarray) -> bytes:

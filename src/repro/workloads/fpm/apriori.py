@@ -18,11 +18,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.perf.apriori_kernels import join_prune
 from repro.perf.fpm_kernels import (
+    TransactionBitmap,
     candidate_supports,
+    pack_csr,
     pack_transactions,
     pattern_supports,
 )
+from repro.perf.pivot_kernels import csr_lists
 from repro.perf import autotune
 from repro.workloads.base import Workload, WorkloadResult
 
@@ -53,12 +57,16 @@ class AprioriMiner:
     max_len:
         Optional cap on pattern length (None = unbounded).
     kernel:
-        Counting tier: ``"auto"`` (shape-dispatched, the default),
-        ``"numpy"`` (alias ``"bitmap"``) counts candidates on the
-        packed vertical bitmaps of :mod:`repro.perf.fpm_kernels`,
-        ``"native"`` on the compiled popcount loops, ``"reference"``
-        runs the original per-transaction containment scan. Outputs
-        (supports, candidate counts, work units) are bit-identical.
+        Mining tier: ``"auto"`` (shape-dispatched, the default),
+        ``"numpy"`` (alias ``"bitmap"``) runs each level as array
+        passes — join and prune in :mod:`repro.perf.apriori_kernels`,
+        counting on the packed vertical bitmaps of
+        :mod:`repro.perf.fpm_kernels` — ``"native"`` does the same with
+        the compiled popcount loops, ``"reference"`` runs the original
+        per-transaction containment scan. Outputs (supports, candidate
+        counts, work units) are bit-identical; the bitmap tiers insert
+        frequent singletons in item order, the reference in
+        first-seen order.
     """
 
     min_support: float
@@ -79,18 +87,35 @@ class AprioriMiner:
         )
         if tier == "reference":
             return self.mine_reference(transactions)
-        return self._mine_bitmap(transactions, tier)
+        return self._mine_bitmap(pack_transactions(transactions), tier)
+
+    def mine_csr(self, values: np.ndarray, offsets: np.ndarray) -> MiningOutput:
+        """:meth:`mine` over a CSR batch (transaction ``t`` is
+        ``values[offsets[t]:offsets[t + 1]]``), packed without per-item
+        Python lists on the bitmap tiers."""
+        tier = autotune.resolve_tier(
+            self.kernel, kind="fpm", work=len(offsets) - 1
+        )
+        if tier == "reference":
+            return self.mine_reference(csr_lists(values, offsets))
+        return self._mine_bitmap(pack_csr(values, offsets), tier)
 
     def _mine_bitmap(
-        self, transactions: Sequence[Iterable[int]], tier: str = "numpy"
+        self, bitmap: TransactionBitmap, tier: str = "numpy"
     ) -> MiningOutput:
         """Levelwise mining over the packed vertical bitmap.
 
-        Identical candidate generation (the shared
-        :meth:`_generate_candidates`), identical accounting: level 1
-        charges Σ distinct items per transaction, level ``k`` charges
-        ``n_tx`` checks per candidate — exactly what the reference scan
-        performs — so work units match to the digit.
+        Each level is an ``(m, k)`` int64 array of bitmap row indices
+        (rows are the sorted item ids, so row order is item order):
+        :func:`~repro.perf.apriori_kernels.join_prune` builds the
+        candidates in :meth:`_generate_candidates`' order, the bitmap
+        counts them, one mask keeps the survivors, and only those
+        become item tuples: singletons in item order, then each level
+        in the order the reference inserts it.
+        Accounting is identical: level 1 charges Σ distinct items per
+        transaction, level ``k`` charges ``n_tx`` checks per candidate
+        — exactly what the reference scan performs — so work units
+        match to the digit.
         """
         if tier == "native":
             from repro.perf.native.fpm_njit import candidate_supports_native
@@ -98,7 +123,6 @@ class AprioriMiner:
             supports_fn = candidate_supports_native
         else:
             supports_fn = candidate_supports
-        bitmap = pack_transactions(transactions)
         n = bitmap.num_transactions
         if n == 0:
             return MiningOutput(counts={}, num_transactions=0, candidates_generated=0, work_units=0.0)
@@ -107,33 +131,24 @@ class AprioriMiner:
         work = float(bitmap.total_occurrences)
         candidates_total = bitmap.num_items
 
-        frequent: dict[Pattern, int] = {
-            (int(item),): int(c)
-            for item, c in zip(bitmap.items, bitmap.supports)
-            if c >= min_count
-        }
-        result = dict(frequent)
-
+        level = np.flatnonzero(bitmap.supports >= min_count)[:, None]
+        found = [(level, bitmap.supports[level[:, 0]])]
         k = 2
-        current = sorted(frequent)
-        while current and (self.max_len is None or k <= self.max_len):
-            candidates = self._generate_candidates(current, k)
+        while level.size and (self.max_len is None or k <= self.max_len):
+            candidates = join_prune(level, bitmap.num_items)
             candidates_total += len(candidates)
-            if not candidates:
+            if not len(candidates):
                 break
             work += float(n * len(candidates))
-            rows = bitmap.rows_for(np.asarray(candidates, dtype=np.int64))
-            supports = supports_fn(bitmap, rows)
-            survivors = [
-                (cand, int(c))
-                for cand, c in zip(candidates, supports)
-                if c >= min_count
-            ]
-            current = sorted(c for c, _ in survivors)
-            for cand, c in survivors:
-                result[cand] = c
+            supports = supports_fn(bitmap, candidates)
+            keep = supports >= min_count
+            level = candidates[keep]
+            found.append((level, supports[keep]))
             k += 1
 
+        result: dict[Pattern, int] = {}
+        for rows, supports in found:
+            result.update(zip(map(tuple, bitmap.items[rows].tolist()), supports.tolist()))
         return MiningOutput(
             counts=result,
             num_transactions=n,

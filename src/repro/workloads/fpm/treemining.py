@@ -29,9 +29,11 @@ def trees_to_pivot_sets(records: Sequence) -> tuple[list[list[int]], float]:
     (:func:`~repro.perf.pivot_kernels.tree_pivot_batch`); the charged
     work is the same node count the per-tree conversion charged.
     """
-    transactions = csr_lists(*tree_pivot_batch(records))
-    work = float(sum(len(parent) for parent, _ in records))
-    return transactions, work
+    return csr_lists(*tree_pivot_batch(records)), _conversion_work(records)
+
+
+def _conversion_work(records: Sequence) -> float:
+    return float(sum(len(parent) for parent, _ in records))
 
 
 class TreeMiningWorkload(Workload):
@@ -47,10 +49,11 @@ class TreeMiningWorkload(Workload):
         return self.miner.min_support
 
     def run(self, records: Sequence) -> WorkloadResult:
-        transactions, convert_work = trees_to_pivot_sets(records)
-        out = self.miner.mine(transactions)
+        # The pivot batch goes to the miner as CSR: the bitmap tiers
+        # pack it without building per-tree lists.
+        out = self.miner.mine_csr(*tree_pivot_batch(records))
         return WorkloadResult(
-            work_units=convert_work + out.work_units,
+            work_units=_conversion_work(records) + out.work_units,
             output=out,
             stats={
                 "patterns": len(out.counts),

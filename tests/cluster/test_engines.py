@@ -286,6 +286,88 @@ class TestProcessPoolEngine:
         assert engine.pools_created == 1
         engine.shutdown()
 
+    @staticmethod
+    def _first_jobs_concurrently(engine, idxs):
+        """Two first jobs on a fresh engine; joins are bounded."""
+        import threading
+
+        results: dict[int, int] = {}
+
+        def run(idx):
+            parts = [[idx, idx + 1], [idx + 2]]
+            results[idx] = engine.run_job(
+                CountingWorkload(), parts, assignment=[0, 1]
+            ).merged_output
+
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in idxs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        return results, threads
+
+    def test_concurrent_first_jobs_leave_nothing_alive(self, cluster):
+        # The pool forks its workers once, in _ensure_pool, before either
+        # job publishes a segment; every round must finish both jobs and
+        # leave no pool thread or worker process behind.
+        import multiprocessing
+        import threading
+
+        children_before = set(multiprocessing.active_children())
+        threads_before = set(threading.enumerate())
+        try:
+            for round_ in range(4):
+                engine = ProcessPoolEngine(cluster, max_workers=2)
+                idxs = (10 + round_, 20 + round_)
+                results, threads = self._first_jobs_concurrently(engine, idxs)
+                engine.shutdown()
+                assert not any(t.is_alive() for t in threads)
+                assert results == {i: 3 * i + 3 for i in idxs}
+                assert engine.pools_created == 1
+            assert set(multiprocessing.active_children()) <= children_before
+            deadline = time.monotonic() + 5.0
+            while set(threading.enumerate()) - threads_before and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert set(threading.enumerate()) <= threads_before
+        finally:
+            for child in set(multiprocessing.active_children()) - children_before:
+                child.kill()
+
+    def test_worker_forked_under_held_tracker_lock_still_attaches(self, cluster):
+        # A worker forked while another thread holds the multiprocessing
+        # resource tracker's lock inherits that lock held; its first shm
+        # attach registers with the tracker and must not wait forever.
+        import multiprocessing
+        import threading
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
+        children_before = set(multiprocessing.active_children())
+        engine = ProcessPoolEngine(cluster, max_workers=2)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with resource_tracker._resource_tracker._lock:
+                held.set()
+                release.wait(30.0)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        try:
+            assert held.wait(10.0)
+            engine._ensure_pool()  # forks both workers now
+            release.set()
+            holder.join(10.0)
+            results, threads = self._first_jobs_concurrently(engine, (10,))
+            assert not threads[0].is_alive(), "worker hung on the inherited tracker lock"
+            assert results == {10: 33}
+            engine.shutdown()
+        finally:
+            release.set()
+            for child in set(multiprocessing.active_children()) - children_before:
+                child.kill()
+            engine.shutdown(wait=False)
+
     def test_context_manager_releases_pool(self, cluster):
         with ProcessPoolEngine(cluster, max_workers=1) as engine:
             job = engine.run_job(CountingWorkload(), [[1], [2]], assignment=[0, 1])

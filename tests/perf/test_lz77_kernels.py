@@ -7,6 +7,10 @@ partitions through both paths; tiny windows and ``max_chain=1`` stress
 the deque-trimming probe accounting the fast coder emulates.
 """
 
+import tracemalloc
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +68,22 @@ class TestVarintBatch:
     def test_empty(self):
         buf, offsets = encode_varint_batch([])
         assert buf.size == 0 and offsets.tolist() == [0]
+
+    @pytest.mark.parametrize("high", [1 << 7, 1 << 20, 2**63 - 1])
+    def test_traced_peak_bounded_by_input_size(self, high):
+        # Outputs (offsets: 8 B/value, buf) plus the uint64 working copy
+        # and a few one-byte-per-value temporaries; no further
+        # input-sized 64-bit arrays.
+        values = np.random.default_rng(0).integers(0, high, size=50_000)
+        expected = encode_varints_bytes(values[:100].tolist())
+        tracemalloc.start()
+        try:
+            buf, _ = encode_varint_batch(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert buf[: len(expected)].tobytes() == expected
+        assert peak <= 2 * values.nbytes + 6 * values.size + buf.nbytes
 
 
 class TestLZ77Equivalence:
